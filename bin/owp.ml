@@ -353,8 +353,11 @@ let serve_cmd =
               against the standing overlay.  Mutations are serviced by \
               re-running the configured engine composition on the current \
               membership; queries cost one propose-answer round.  The report \
-              carries latency percentiles (p50/p99), throughput, the backlog \
-              peak, shedding counts, and steady-state satisfaction against a \
+              carries latency percentiles (p50/p99), throughput and \
+              utilization over the makespan (horizon plus the time the \
+              backlog admitted by the horizon takes to drain), the backlog \
+              peak and the backlog left at the horizon, shedding counts, \
+              and steady-state satisfaction against a \
               periodically sampled from-scratch LIC oracle.  Identical flags \
               and seed reproduce the report byte for byte.";
          ])

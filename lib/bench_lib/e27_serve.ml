@@ -11,7 +11,9 @@
 
    Three tables: E27a sweeps the arrival rate on the plain LID stack
    and shows the queueing transition (latency percentiles, backlog
-   peak, shedding once the engine can't keep up); E27b replays one
+   peak, the backlog left at the horizon and its drain time, shedding
+   once the engine can't keep up; throughput and utilization are over
+   the makespan, horizon plus drain); E27b replays one
    moderate stream across the layer compositions — ARQ over a lossy
    channel, guarded liars, a per-request deadline, and all three at
    once — each paying its own service-time premium; E27c is the
@@ -147,6 +149,8 @@ let run ~quick =
         ("p99", Tbl.Right);
         ("thrpt", Tbl.Right);
         ("backlog", Tbl.Right);
+        ("at horizon", Tbl.Right);
+        ("drain", Tbl.Right);
         ("util", Tbl.Right);
         ("steady S", Tbl.Right);
       ]
@@ -165,6 +169,8 @@ let run ~quick =
           Tbl.fcell2 r.SR.p99;
           Tbl.fcell2 r.SR.throughput;
           Tbl.icell r.SR.max_queue;
+          Tbl.icell r.SR.backlog_at_horizon;
+          Tbl.fcell2 r.SR.drain_time;
           Tbl.fcell2 r.SR.utilization;
           Tbl.pct r.SR.steady_satisfaction;
         ])

@@ -210,9 +210,9 @@ let init ?ranking w ~capacity =
   (st, List.rev !events)
 
 (* the transition itself, parameterised on the event sink: the list
-   built by {!deliver} for the public API, or the simulator driver's
-   direct send in {!run} (one closure for the whole run — the hot path
-   allocates nothing per delivery) *)
+   built by {!deliver}, or a simulator driver's direct send ({!run},
+   Stack.run: one closure for the whole run — the hot path allocates
+   nothing per delivery) *)
 let deliver_into st ~src ~dst m emit =
   let i = dst and u = src in
   let s = st.nodes.(i) in

@@ -47,6 +47,13 @@ val deliver : state -> src:int -> dst:int -> message -> event list
 (** Process one delivery at [dst] (lines 4–16 of Alg. 1), mutating the
     state; returns the events it caused, in order. *)
 
+val deliver_into : state -> src:int -> dst:int -> message -> (event -> unit) -> unit
+(** {!deliver} with the events handed to a sink as they occur instead
+    of collected into a list: the same transition, the same events in
+    the same order.  A simulator driver passes one sink for the whole
+    run ({!run} and {!Stack.run} do), so a delivery allocates no list.
+    The sink must not re-enter the state machine. *)
+
 val quiesced : state -> bool
 (** Every node reached U_i = ∅ (Lemma 5). *)
 

@@ -18,6 +18,8 @@ type t = {
   mean_service : float;
   throughput : float;
   max_queue : int;
+  backlog_at_horizon : int;
+  drain_time : float;
   utilization : float;
   steady_satisfaction : float;
   oracle_samples : int;
@@ -40,6 +42,8 @@ let summary t =
       Printf.sprintf "mean service time   : %s" (f t.mean_service);
       Printf.sprintf "throughput          : %s req/vt" (f t.throughput);
       Printf.sprintf "max queue depth     : %d" t.max_queue;
+      Printf.sprintf "backlog at horizon  : %d (drained %s later)" t.backlog_at_horizon
+        (f t.drain_time);
       Printf.sprintf "utilization         : %s" (f t.utilization);
       Printf.sprintf "steady satisfaction : %s (vs LIC oracle, %d samples)\n"
         (f t.steady_satisfaction) t.oracle_samples;

@@ -126,6 +126,22 @@ let ranking_of g perceived i =
 let prop claim = { Guard.epoch = 0; body = Guard.Prop { claim } }
 let rej = { Guard.epoch = 0; body = Guard.Rej }
 
+(* the claim-free PROP every unguarded send shares *)
+let blank_prop = prop 0.0
+let rej_frame = Transport.Data { epoch = 0; seq = 0; payload = rej }
+let blank_prop_frame = Transport.Data { epoch = 0; seq = 0; payload = blank_prop }
+
+(* the datagram frame of a message: a message equal to one of the two
+   constants travels in that constant's shared frame, anything else in
+   a fresh one *)
+let frame_of (gm : Guard.msg) =
+  match gm with
+  | { epoch = 0; body = Guard.Rej } -> rej_frame
+  | { epoch = 0; body = Guard.Prop { claim } }
+    when Float.equal claim 0.0 && not (Float.sign_bit claim) ->
+      blank_prop_frame
+  | _ -> Transport.Data { epoch = 0; seq = 0; payload = gm }
+
 (* f's own (truthful) preference order over its neighbours *)
 let own_order prefs g f =
   let entries = Array.to_list (Graph.neighbors g f) in
@@ -460,8 +476,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   let wire_send ~src ~dst (gm : Guard.msg) =
     match !tr with
     | Some t -> Transport.send t ~src ~dst gm
-    | None ->
-        Simnet.send net ~src ~dst (Transport.Data { epoch = 0; seq = 0; payload = gm })
+    | None -> Simnet.send net ~src ~dst (frame_of gm)
   in
   let byz_send f ~dst m =
     incr adversary_msgs;
@@ -473,34 +488,72 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
         | Some m -> make_behaviour (Option.get prefs) g adv f m
         | None -> Adversary.silent)
   in
-  (* --- protocol sends and the detector ------------------------------ *)
-  let wrap src dst = function
-    | Lid.Prop ->
-        incr prop_count;
-        let claim = match prefs with Some p -> half p src dst | None -> 0.0 in
-        prop claim
-    | Lid.Rej ->
-        incr rej_count;
-        rej
-  in
   let send_rej_wire src dst =
     incr rej_count;
     wire_send ~src ~dst rej
   in
-  let outbound = ref [] in
-  let rec process evs =
-    List.iter
-      (function
-        | Lid.Send (src, dst, m) -> (
-            let gm = wrap src dst m in
-            (match fold_send !outbound ~src ~dst gm with
-            | Some gm -> wire_send ~src ~dst gm
-            | None -> ());
-            match (m, patience) with
-            | Lid.Prop, Some limit -> arm_patience src dst limit
-            | _ -> ())
-        | Lid.Lock (i, v) -> on_lock (Simnet.now net) i v)
-      evs
+  (* a PROP carries its sender's half-weight claim only for the guard,
+     the one reader of claims; everything else shares one constant *)
+  let prop_of =
+    match (guards, prefs) with
+    | Some _, Some p -> fun src dst -> prop (half p src dst)
+    | _ -> fun _ _ -> blank_prop
+  in
+  (* the anytime budget gate.  Until the deadline expires it is a pure
+     pass-through; once [cut] flips, every residual send or delivery is
+     swallowed, so even code paths that touch the network after the
+     horizon (give-up sweeps, late timers) cannot reopen the protocol.
+     Its counter row carries the cutoff accounting. *)
+  let cut = ref false in
+  let cut_released = ref 0 and cut_half_locks = ref 0 in
+  let cut_abandoned = ref 0 and cut_suppressed = ref 0 in
+  let deadline_mw =
+    {
+      mw_name = "deadline";
+      on_send =
+        (fun ~src:_ ~dst:_ m ->
+          if !cut then begin
+            incr cut_suppressed;
+            None
+          end
+          else Some m);
+      on_deliver =
+        (fun ~src:_ ~dst:_ m ->
+          if !cut then begin
+            incr cut_suppressed;
+            None
+          end
+          else Some m);
+      mw_counters =
+        (fun () ->
+          [
+            ("released", !cut_released);
+            ("half-locks", !cut_half_locks);
+            ("abandoned", !cut_abandoned);
+            ("suppressed", !cut_suppressed);
+          ]);
+    }
+  in
+  (* the outbound chain holds only the layers that act on sends *)
+  let outbound = match budget with Some _ -> [ deadline_mw ] | None -> [] in
+  let send_out ~src ~dst gm =
+    match outbound with
+    | [] -> wire_send ~src ~dst gm
+    | layers -> (
+        match fold_send layers ~src ~dst gm with
+        | Some gm -> wire_send ~src ~dst gm
+        | None -> ())
+  in
+  (* --- protocol sends and the detector: the single LID event sink --- *)
+  let rec emit = function
+    | Lid.Send (src, dst, Lid.Prop) -> (
+        incr prop_count;
+        send_out ~src ~dst (prop_of src dst);
+        match patience with Some limit -> arm_patience src dst limit | None -> ())
+    | Lid.Send (src, dst, Lid.Rej) ->
+        incr rej_count;
+        send_out ~src ~dst rej
+    | Lid.Lock (i, v) -> on_lock (Simnet.now net) i v
   and arm_patience i v limit =
     incr patience_armed;
     let rec arm () =
@@ -525,7 +578,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     arm ()
   and synthetic_reject at ~peer =
     incr synthetic_rejects;
-    process (Lid.deliver st ~src:peer ~dst:at Lid.Rej)
+    Lid.deliver_into st ~src:peer ~dst:at Lid.Rej emit
   in
   let quarantine at ~peer =
     (* re-announce the decline on the wire, then release any obligation
@@ -585,72 +638,76 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
      outcome-neutral, purely an accounting layer.  It sits BELOW the
      guard on the inbound path: the guard must see raw per-link
      traffic, because a duplicate is itself an offence to score
-     (dedup-above-guard would blind the quarantine scoring). *)
+     (dedup-above-guard would blind the quarantine scoring).
+
+     Its state is two bits per directed link (PROP seen, REJ seen) in
+     one flat byte array: link (src, dst) is the CSR offset of [dst]
+     plus the slot of [src] in [dst]'s sorted neighbour array, found by
+     binary search over a flat copy of the neighbour ids (the graph's
+     own (neighbour, edge) pairs are one heap block each, a cache miss
+     per probe).  A pair that is no edge — a state violator's PROP to a
+     stranger — falls back to a small table. *)
   let dedup_mw =
-    let seen_prop = Hashtbl.create 64 and seen_rej = Hashtbl.create 64 in
+    let base = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      base.(v + 1) <- base.(v) + Graph.degree g v
+    done;
+    let nbr = Array.make base.(n) 0 in
+    for v = 0 to n - 1 do
+      Array.iteri (fun k (u, _) -> nbr.(base.(v) + k) <- u) (Graph.neighbors g v)
+    done;
+    let seen = Bytes.make base.(n) '\000' in
+    let seen_off_graph = Hashtbl.create 8 in
+    let link ~src ~dst =
+      let lo = ref base.(dst) and hi = ref (base.(dst + 1) - 1) and res = ref (-1) in
+      while !res < 0 && !lo <= !hi do
+        let mid = (!lo + !hi) / 2 in
+        let v = Array.unsafe_get nbr mid in
+        if v = src then res := mid else if v < src then lo := mid + 1 else hi := mid - 1
+      done;
+      !res
+    in
+    (* marks [bit] on the link; [true] iff it was already marked *)
+    let test_and_set ~src ~dst bit =
+      let k = link ~src ~dst in
+      if k >= 0 then begin
+        let b = Char.code (Bytes.unsafe_get seen k) in
+        Bytes.unsafe_set seen k (Char.unsafe_chr (b lor bit));
+        b land bit <> 0
+      end
+      else begin
+        let b = Option.value ~default:0 (Hashtbl.find_opt seen_off_graph (src, dst)) in
+        Hashtbl.replace seen_off_graph (src, dst) (b lor bit);
+        b land bit <> 0
+      end
+    in
     {
       mw_name = "dedup";
       on_send = pass;
       on_deliver =
         (fun ~src ~dst (m : Guard.msg) ->
-          let tbl, cnt =
-            match m.Guard.body with
-            | Guard.Prop _ -> (seen_prop, dedup_prop)
-            | Guard.Rej -> (seen_rej, dedup_rej)
-          in
-          if Hashtbl.mem tbl (src, dst) then begin
-            incr cnt;
-            None
-          end
-          else begin
-            Hashtbl.replace tbl (src, dst) ();
-            Some m
-          end);
+          match m.Guard.body with
+          | Guard.Prop _ ->
+              if test_and_set ~src ~dst 1 then begin
+                incr dedup_prop;
+                None
+              end
+              else Some m
+          | Guard.Rej ->
+              if test_and_set ~src ~dst 2 then begin
+                incr dedup_rej;
+                None
+              end
+              else Some m);
       mw_counters =
         (fun () ->
           [ ("suppressed-prop", !dedup_prop); ("suppressed-rej", !dedup_rej) ]);
-    }
-  in
-  (* the anytime budget gate.  Until the deadline expires it is a pure
-     pass-through; once [cut] flips, every residual send or delivery is
-     swallowed, so even code paths that touch the network after the
-     horizon (give-up sweeps, late timers) cannot reopen the protocol.
-     Its counter row carries the cutoff accounting. *)
-  let cut = ref false in
-  let cut_released = ref 0 and cut_half_locks = ref 0 in
-  let cut_abandoned = ref 0 and cut_suppressed = ref 0 in
-  let deadline_mw =
-    {
-      mw_name = "deadline";
-      on_send =
-        (fun ~src:_ ~dst:_ m ->
-          if !cut then begin
-            incr cut_suppressed;
-            None
-          end
-          else Some m);
-      on_deliver =
-        (fun ~src:_ ~dst:_ m ->
-          if !cut then begin
-            incr cut_suppressed;
-            None
-          end
-          else Some m);
-      mw_counters =
-        (fun () ->
-          [
-            ("released", !cut_released);
-            ("half-locks", !cut_half_locks);
-            ("abandoned", !cut_abandoned);
-            ("suppressed", !cut_suppressed);
-          ]);
     }
   in
   let inbound = (match guard_mw with Some l -> [ l ] | None -> []) @ [ dedup_mw ] in
   let inbound =
     match budget with Some _ -> deadline_mw :: inbound | None -> inbound
   in
-  outbound := inbound;
   (* --- inbound dispatch --------------------------------------------- *)
   let deliver_payload ~src ~dst (gm : Guard.msg) =
     if not correct.(dst) then
@@ -675,7 +732,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
               | Guard.Prop _ -> Lid.Prop
               | Guard.Rej -> Lid.Rej
             in
-            process (Lid.deliver st ~src ~dst lm)
+            Lid.deliver_into st ~src ~dst lm emit
           end
     end
   in
@@ -747,10 +804,9 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   Array.iteri
     (fun f c -> if not c then behaviours.(f).Adversary.on_init ~send:(byz_send f))
     correct;
-  process
-    (List.filter
-       (function Lid.Send (src, _, _) -> correct.(src) | Lid.Lock _ -> true)
-       initial);
+  List.iter
+    (function Lid.Send (src, _, _) when not correct.(src) -> () | e -> emit e)
+    initial;
   List.iter (fun (i, p) -> send_rej_wire i p) !bootstrap_rejects;
   let cutoff =
     match budget with

@@ -24,6 +24,20 @@
     exactly one place: the detector layer (patience timers, transport
     give-ups, quarantine give-ups and the guarded quiet rounds).
 
+    A run pays only for the layers it enables:
+    - LID is driven through a single emit sink ({!Lid.deliver_into}),
+      as {!Lid.run} drives it: no event list is built per delivery or
+      per synthetic REJ, and the outbound chain holds only the layers
+      that act on sends (the deadline gate, when a budget is set).
+    - A PROP carries its sender's half-weight claim only when a guard
+      reads it.  Without a guard, every PROP and every REJ is one
+      shared immutable message (and, on the datagram path, one shared
+      frame).
+    - The protocol dedup layer keeps two bits per directed link (PROP
+      seen, REJ seen) in one flat byte array indexed by the link's CSR
+      position.  Only pairs that are no edge of the graph, such as a
+      state violator's PROP to a stranger, go to a small table.
+
     The historical drivers (robust, reliable, Byzantine) are plain
     {!run} calls with one particular layer selection — their old seeds
     (robust [0x50B] with 10 s patience, reliable [0x2E1], Byzantine

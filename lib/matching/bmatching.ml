@@ -79,7 +79,21 @@ let connections t i =
   |> Array.to_list
   |> List.filter_map (fun (v, eid) -> if IntSet.mem eid t.selected then Some v else None)
 
-let connection_lists t = Array.init (Graph.node_count t.graph) (connections t)
+(* one pass: mark the selected edges in a flat byte array, then walk
+   each node's sorted neighbour array backwards, consing marked
+   partners, so every list comes out ascending like [connections] *)
+let connection_lists t =
+  let g = t.graph in
+  let marked = Bytes.make (Graph.edge_count g) '\000' in
+  IntSet.iter (fun eid -> Bytes.unsafe_set marked eid '\001') t.selected;
+  Array.init (Graph.node_count g) (fun i ->
+      let nb = Graph.neighbors g i in
+      let acc = ref [] in
+      for k = Array.length nb - 1 downto 0 do
+        let v, eid = Array.unsafe_get nb k in
+        if Bytes.unsafe_get marked eid <> '\000' then acc := v :: !acc
+      done;
+      !acc)
 
 let weight t w =
   IntSet.fold (fun eid acc -> acc +. Weights.weight w eid) t.selected 0.0

@@ -37,7 +37,9 @@ val connections : t -> int -> int list
     graph), ascending. *)
 
 val connection_lists : t -> int list array
-(** Per-node partner lists, as consumed by satisfaction accounting. *)
+(** Per-node partner lists, as consumed by satisfaction accounting:
+    element [i] equals [connections t i].  One linear pass over the
+    graph. *)
 
 val weight : t -> Weights.t -> float
 (** Total weight under the given weights (must share the graph). *)

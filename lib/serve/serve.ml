@@ -196,6 +196,7 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
       let shed = ref 0 and served = ref 0 in
       let latencies = ref [] and services = ref [] in
       let server_free = ref 0.0 and busy = ref 0.0 and max_queue = ref 0 in
+      let backlog_at_horizon = ref 0 in
       let backlog = Queue.create () in
       let next_sample = ref arrivals.Arrivals.oracle in
       List.iter
@@ -217,6 +218,8 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
             busy := !busy +. service;
             Queue.push completion backlog;
             max_queue := max !max_queue (Queue.length backlog);
+            (* admitted by the horizon, still in the system at it *)
+            if completion > arrivals.Arrivals.horizon then incr backlog_at_horizon;
             incr served;
             services := service :: !services;
             latencies := (completion -. r.at) :: !latencies
@@ -232,6 +235,12 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
         if !served = 0 then 0.0
         else List.fold_left ( +. ) 0.0 !services /. float_of_int !served
       in
+      (* the session ends when the backlog admitted by the horizon has
+         drained: rates over that makespan, never over the horizon alone
+         (which would count drained work against a shorter window and
+         report a saturated server busier than 100%) *)
+      let drain_time = Float.max 0.0 (!server_free -. arrivals.Arrivals.horizon) in
+      let makespan = arrivals.Arrivals.horizon +. drain_time in
       (* the per-kind table is read through the handlers' counter rows,
          like a stack layer's *)
       let table =
@@ -255,9 +264,11 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
           p99 = percentile lat 0.99;
           max_latency = (if Array.length lat = 0 then 0.0 else lat.(Array.length lat - 1));
           mean_service;
-          throughput = float_of_int !served /. arrivals.Arrivals.horizon;
+          throughput = float_of_int !served /. makespan;
           max_queue = !max_queue;
-          utilization = !busy /. arrivals.Arrivals.horizon;
+          backlog_at_horizon = !backlog_at_horizon;
+          drain_time;
+          utilization = !busy /. makespan;
           steady_satisfaction =
             (if !steady_n = 0 then 1.0 else !steady_sum /. float_of_int !steady_n);
           oracle_samples = !oracle_samples;

@@ -97,6 +97,39 @@ let prop_construction_respects_capacity =
           !ok
       | exception Invalid_argument _ -> true)
 
+(* a random feasible b-matching: edges offered in a shuffled order,
+   each kept when both endpoints still have room *)
+let random_matching rng g ~capacity =
+  let order = Array.init (Graph.edge_count g) (fun e -> e) in
+  Prng.shuffle_in_place rng order;
+  let deg = Array.make (Graph.node_count g) 0 in
+  let ids =
+    Array.fold_left
+      (fun acc e ->
+        let u, v = Graph.edge_endpoints g e in
+        if deg.(u) < capacity.(u) && deg.(v) < capacity.(v) && Prng.bernoulli rng 0.7
+        then begin
+          deg.(u) <- deg.(u) + 1;
+          deg.(v) <- deg.(v) + 1;
+          e :: acc
+        end
+        else acc)
+      [] order
+  in
+  BM.of_edge_ids g ~capacity ids
+
+let prop_connection_lists_match_connections =
+  QCheck2.Test.make ~name:"connection_lists = per-node connections, same order"
+    ~count:300
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 1 40) (int_range 0 4))
+    (fun (seed, n, density) ->
+      let rng = Prng.create seed in
+      let m = min (n * (n - 1) / 2) (n * density) in
+      let g = Gen.gnm rng ~n ~m in
+      let capacity = Array.init n (fun _ -> Prng.int rng 4) in
+      let mt = random_matching rng g ~capacity in
+      BM.connection_lists mt = Array.init n (BM.connections mt))
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -109,4 +142,5 @@ let suite =
     Alcotest.test_case "connection lists" `Quick test_connection_lists;
     Alcotest.test_case "zero capacity" `Quick test_zero_capacity;
     QCheck_alcotest.to_alcotest prop_construction_respects_capacity;
+    QCheck_alcotest.to_alcotest prop_connection_lists_match_connections;
   ]

@@ -33,6 +33,7 @@ let () =
       ("core.lid", Test_lid.suite);
       ("core.lid_dynamic", Test_lid_dynamic.suite);
       ("core.stack", Test_stack.suite);
+      ("core.stack.golden", Test_stack_golden.suite);
       ("core.anytime", Test_anytime.suite);
       ("core.lid_reliable", Test_lid_reliable.suite);
       ("core.guard", Test_guard.suite);

@@ -55,10 +55,28 @@ let test_satisfaction_vs_guarantee () =
   Alcotest.(check bool) "mean in [0,1]" true
     (out.Pipeline.mean_satisfaction >= 0.0 && out.Pipeline.mean_satisfaction <= 1.0)
 
+(* the profile's single-pass partner lists must not move a single bit
+   against the per-node form it replaced *)
+let prop_profile_bit_identical =
+  QCheck2.Test.make ~name:"satisfaction_profile = per-node satisfaction, bit for bit"
+    ~count:200
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 2 40))
+    (fun (seed, n) ->
+      let rng = Prng.create seed in
+      let g = Gen.gnm rng ~n ~m:(min (n * (n - 1) / 2) (2 * n)) in
+      let prefs = Preference.random rng g ~quota:(Preference.uniform_quota g 3) in
+      let capacity = Array.init n (Preference.quota prefs) in
+      let m = Test_bmatching.random_matching rng g ~capacity in
+      let bits = Array.map Int64.bits_of_float in
+      bits (Pipeline.satisfaction_profile prefs m)
+      = bits
+          (Array.init n (fun i -> Preference.satisfaction prefs i (BM.connections m i))))
+
 let suite =
   [
     Alcotest.test_case "lid outcome fields" `Quick test_lid_outcome_fields;
     Alcotest.test_case "algorithms consistent" `Quick test_algorithms_consistent;
     Alcotest.test_case "profile matches total" `Quick test_profile_matches_total;
     Alcotest.test_case "satisfaction vs guarantee" `Quick test_satisfaction_vs_guarantee;
+    QCheck_alcotest.to_alcotest prop_profile_bit_identical;
   ]

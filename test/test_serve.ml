@@ -7,7 +7,8 @@
    itself is checked for the properties the CLI advertises: identical
    reports across repeated runs at the same seed, the backlog bound
    honoured under a burst (excess requests shed, never queued), request
-   accounting that adds up, and the full serve x deadline x guard
+   accounting that adds up at every load (utilization over the
+   makespan never above 1), and the full serve x deadline x guard
    composition producing a healthy report. *)
 
 module RC = Owp_core.Run_config
@@ -145,6 +146,39 @@ let test_accounting () =
     (r.SR.p50 <= r.SR.p99 && r.SR.p99 <= r.SR.max_latency);
   Alcotest.(check bool) "oracle sampled" true (r.SR.oracle_samples > 0)
 
+(* the accounting identities, over random load levels from idle to far
+   past saturation: rates are over the makespan (horizon + drain), so a
+   saturated server is busy at most 100% of it *)
+let prop_accounting_identities =
+  let prefs = prefs ~n:20 () in
+  QCheck2.Test.make ~name:"serve accounting identities hold at every load" ~count:60
+    QCheck2.Gen.(
+      quad (int_range 0 1_000) (int_range 1 40) (int_range 10 60) (int_range 1 24))
+    (fun (seed, rate4, horizon, queue) ->
+      let arrivals =
+        Arrivals.make ~rate:(float_of_int rate4 /. 4.0) ~horizon:(float_of_int horizon)
+          ~queue ()
+      in
+      let r = report ~arrivals (lid_cfg ~seed ()) prefs in
+      r.SR.utilization <= 1.0
+      && r.SR.served + r.SR.shed = r.SR.offered
+      && r.SR.backlog_at_horizon <= r.SR.max_queue
+      && r.SR.drain_time >= 0.0
+      (* a backlog at the horizon is exactly what takes time to drain *)
+      && (r.SR.backlog_at_horizon > 0) = (r.SR.drain_time > 0.0))
+
+let test_saturated_utilization () =
+  (* far past the service rate the server idles only before the first
+     arrival, so utilization sits just under 1 — where the horizon-based
+     figure (busy time over the horizon alone) exceeded 1.6 *)
+  let prefs = prefs () in
+  let r = report ~arrivals:(parse "4:horizon=60,queue=16") (lid_cfg ()) prefs in
+  Alcotest.(check bool) "backlog left at the horizon" true (r.SR.backlog_at_horizon > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "busy nearly the whole makespan (%g)" r.SR.utilization)
+    true
+    (r.SR.utilization > 0.99 && r.SR.utilization <= 1.0)
+
 let test_backpressure_bound () =
   let prefs = prefs () in
   (* a burst far beyond the engine's service rate: the backlog must
@@ -253,6 +287,8 @@ let suite =
     Alcotest.test_case "request stream generation" `Quick test_generate_requests;
     Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
     Alcotest.test_case "request accounting" `Quick test_accounting;
+    QCheck_alcotest.to_alcotest prop_accounting_identities;
+    Alcotest.test_case "saturated utilization" `Quick test_saturated_utilization;
     Alcotest.test_case "backpressure bound under burst" `Quick test_backpressure_bound;
     Alcotest.test_case "handicap slows service" `Quick test_handicap_slows_service;
     Alcotest.test_case "serve x deadline x guard" `Quick test_compose_deadline_guard;
