@@ -31,7 +31,24 @@
     probability < 1 guarantees each retransmission round succeeds with
     positive probability), the layer delivers every message exactly
     once, in per-link FIFO order — restoring the exact hypotheses of
-    Lemmas 5-6 for {!Owp_core.Stack}[.run ~reliable:true]. *)
+    Lemmas 5-6 for {!Owp_core.Stack}[.run ~reliable:true].
+
+    Representation (flat, so a frame costs no table lookups or
+    per-link allocations):
+    - a {b link directory} gives each directed link a dense id, from an
+      open-addressed table keyed by the packed [src * nodes + dst]; the
+      sender and receiver fields of a link sit in one strided [int
+      array], its RTO in a [float array];
+    - cumulative ACKs keep the unacked seqs exactly [[base, next_seq)],
+      so the {b send window} is a chain in seq order: an ACK pops a
+      prefix and a retransmission walks it, lowest seq first;
+    - window and out-of-order chains share one {b frame arena} with a
+      free list; each payload's [Data] frame is built once and reused
+      on every retransmission, and epoch-0 ACK frames for small [cum]
+      are built once per transport;
+    - a per-link {b generation counter}, bumped whenever the sender is
+      cleared ({!restart_node}, or a stream from a stale epoch), retires
+      the retransmission timers armed before. *)
 
 type 'm frame =
   | Data of { epoch : int; seq : int; payload : 'm }
@@ -120,3 +137,14 @@ val give_ups_held : _ t -> int
 val frames_sent : _ t -> int
 (** [data_sent + retransmissions + acks_sent] — the wire total to
     compare against the fault-free protocol message count. *)
+
+val frames_held : _ t -> int
+(** Frames currently held in send windows and out-of-order buffers:
+    the unacked payloads plus the early arrivals waiting for a gap to
+    fill.  Zero once every stream has been acked and reassembled. *)
+
+val footprint_words : _ t -> int
+(** Words held by the transport's own arrays: the link directory, the
+    per-link state and the frame arena.  Grows with the number of links
+    used and the largest number of frames held at once, never with the
+    total traffic. *)

@@ -21,6 +21,7 @@ let () =
       ("prefs.weights", Test_weights.suite);
       ("simnet", Test_simnet.suite);
       ("simnet.transport", Test_transport.suite);
+      ("transport.golden", Test_transport_golden.suite);
       ("simnet.schedule", Test_schedule.suite);
       ("matching.bmatching", Test_bmatching.suite);
       ("matching.greedy+exact", Test_greedy_exact.suite);

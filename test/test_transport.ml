@@ -201,6 +201,44 @@ let test_seed_sweep () =
     end
   done
 
+let test_footprint_tracks_links () =
+  (* sustained traffic over three links at drop = dup = 0.2: each
+     delivery of payload m hands its sender payload m + 4, so four
+     payloads stay in flight per link however long the stream runs.
+     Once the network drains no frame may still be held, and the
+     footprint after 10^3 payloads per link must equal the footprint
+     after 10^4: it tracks the links, not the traffic *)
+  let links = [ (0, 1); (1, 2); (2, 0) ] in
+  let run payloads =
+    let faults = Sim.faults ~drop:0.2 ~duplicate:0.2 () in
+    let net = Sim.create ~seed:5 ~faults ~nodes:3 ~delay:(Sim.Uniform (0.5, 1.5)) () in
+    let delivered = ref 0 in
+    let tr_box = ref None in
+    let tr =
+      Tr.create net
+        ~on_deliver:(fun ~src ~dst m ->
+          incr delivered;
+          if m + 4 <= payloads then Option.iter (fun tr -> Tr.send tr ~src ~dst (m + 4)) !tr_box)
+        ~on_peer_dead:(fun ~node:_ ~peer:_ -> ())
+    in
+    tr_box := Some tr;
+    List.iter
+      (fun (src, dst) ->
+        for m = 1 to 4 do
+          Tr.send tr ~src ~dst m
+        done)
+      links;
+    Sim.run net;
+    Alcotest.(check int) "every payload delivered" (3 * payloads) !delivered;
+    Alcotest.(check bool) "loss was recovered" true (Tr.retransmissions tr > 0);
+    Alcotest.(check bool) "duplicates were suppressed" true (Tr.duplicates_suppressed tr > 0);
+    Alcotest.(check int) "no frame held after the drain" 0 (Tr.frames_held tr);
+    Tr.footprint_words tr
+  in
+  let small = run 1_000 in
+  let large = run 10_000 in
+  Alcotest.(check int) "footprint independent of the payload count" small large
+
 let suite =
   [
     Alcotest.test_case "clean channel" `Quick test_clean_channel;
@@ -210,5 +248,6 @@ let suite =
     Alcotest.test_case "bounded retries give up" `Quick test_give_up;
     Alcotest.test_case "crash/restart epochs" `Quick test_crash_restart_epochs;
     Alcotest.test_case "120-seed fault sweep" `Quick test_seed_sweep;
+    Alcotest.test_case "footprint tracks links" `Quick test_footprint_tracks_links;
     QCheck_alcotest.to_alcotest prop_exactly_once_in_order;
   ]
