@@ -16,25 +16,33 @@ let slot_of g i j =
   done;
   !res
 
+(* The rank of every list entry is filed under its neighbour's adjacency
+   slot through [pos], the slot of each neighbour of the current node
+   (-1 elsewhere), set before and reset after each node; a failed call
+   discards it. *)
 let create g ~quota ~lists =
   let n = Graph.node_count g in
   if Array.length quota <> n || Array.length lists <> n then
     invalid_arg "Preference.create: arity mismatch with graph";
+  let pos = Array.make n (-1) in
   let rank_by_slot =
     Array.init n (fun i ->
-        let deg = Graph.degree g i in
-        if Array.length lists.(i) <> deg then
+        let nbrs = Graph.neighbors g i in
+        let deg = Array.length nbrs in
+        let list = lists.(i) in
+        if Array.length list <> deg then
           invalid_arg "Preference.create: list is not a permutation of the neighbourhood";
+        Array.iteri (fun s (j, _) -> pos.(j) <- s) nbrs;
         let ranks = Array.make deg (-1) in
-        Array.iteri
-          (fun r j ->
-            let s = slot_of g i j in
-            if s < 0 then
-              invalid_arg "Preference.create: list contains a non-neighbour";
-            if ranks.(s) >= 0 then
-              invalid_arg "Preference.create: duplicate entry in preference list";
-            ranks.(s) <- r)
-          lists.(i);
+        for r = 0 to deg - 1 do
+          let j = list.(r) in
+          let s = if j >= 0 && j < n then pos.(j) else -1 in
+          if s < 0 then invalid_arg "Preference.create: list contains a non-neighbour";
+          if ranks.(s) >= 0 then
+            invalid_arg "Preference.create: duplicate entry in preference list";
+          ranks.(s) <- r
+        done;
+        Array.iter (fun (j, _) -> pos.(j) <- -1) nbrs;
         ranks)
   in
   let quota =
@@ -80,6 +88,8 @@ let max_quota t = Array.fold_left max 1 t.quota
 
 let list t i = t.lists.(i)
 let list_len t i = Array.length t.lists.(i)
+
+let rank_at_slot t i s = t.rank_by_slot.(i).(s)
 
 let rank t i j =
   let s = slot_of t.graph i j in

@@ -37,6 +37,11 @@ val list_len : t -> int -> int
 val rank : t -> int -> int -> int
 (** [rank t i j] = [R_i(j)]. @raise Not_found if [j ∉ Γ_i]. *)
 
+val rank_at_slot : t -> int -> int -> int
+(** [rank_at_slot t i s] is the rank [R_i(j)] of the neighbour [j] at
+    slot [s] of [Graph.neighbors (graph t) i] — {!rank} without the
+    search. *)
+
 val preferred : t -> int -> int -> int -> bool
 (** [preferred t i j k]: does [i] strictly prefer [j] over [k]? *)
 

@@ -2,18 +2,33 @@ type combiner = Sum | Min | Product
 
 type t = { graph : Graph.t; w : float array }
 
-let side_delta prefs i j =
-  let l = Preference.list_len prefs i and b = Preference.quota prefs i in
-  if l = 0 || b = 0 then 0.0
-  else Satisfaction.static_delta ~quota:b ~list_len:l ~rank:(Preference.rank prefs i j)
-
+(* One pass over every adjacency, nodes in ascending order: an edge's
+   lower endpoint is visited first and stores its own delta, the upper
+   endpoint then combines, so each weight is [a +. b], [Float.min a b]
+   or [a *. b] with [a] the lower endpoint's delta as in eq. 9. *)
 let of_preference ?(combiner = Sum) prefs =
   let g = Preference.graph prefs in
   let w = Array.make (Graph.edge_count g) 0.0 in
-  Graph.iter_edges g (fun eid u v ->
-      let a = side_delta prefs u v and b = side_delta prefs v u in
-      w.(eid) <-
-        (match combiner with Sum -> a +. b | Min -> Float.min a b | Product -> a *. b));
+  for i = 0 to Graph.node_count g - 1 do
+    let l = Preference.list_len prefs i and b = Preference.quota prefs i in
+    let nbrs = Graph.neighbors g i in
+    for s = 0 to Array.length nbrs - 1 do
+      let j, eid = nbrs.(s) in
+      let d =
+        if l = 0 || b = 0 then 0.0
+        else
+          Satisfaction.static_delta ~quota:b ~list_len:l
+            ~rank:(Preference.rank_at_slot prefs i s)
+      in
+      if i < j then w.(eid) <- d
+      else
+        w.(eid) <-
+          (match combiner with
+          | Sum -> w.(eid) +. d
+          | Min -> Float.min w.(eid) d
+          | Product -> w.(eid) *. d)
+    done
+  done;
   { graph = g; w }
 
 let of_array g w =

@@ -4,7 +4,13 @@
     reproducibility across runs, so the library carries its own generator
     instead of relying on [Stdlib.Random]'s global state.  The generator is
     xoshiro256** (Blackman & Vigna), seeded through SplitMix64 so that any
-    64-bit integer seed yields a well-mixed initial state. *)
+    64-bit integer seed yields a well-mixed initial state.
+
+    The 256-bit state lives unboxed in a 32-byte buffer, so draws that
+    return an immediate value ({!int}, {!int_in}, {!bool}, {!bernoulli})
+    and {!shuffle_in_place} allocate nothing; {!float} and
+    {!exponential} allocate only the returned float's box, and {!bits64}
+    only the returned [int64]'s. *)
 
 type t
 (** Mutable generator state.  Not thread-safe; create one per domain. *)

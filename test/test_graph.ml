@@ -105,6 +105,81 @@ let prop_adjacency_consistent =
       done;
       !ok && !degsum = 2 * Graph.edge_count g)
 
+(* The builder as it stood before the packed-key table: a tuple-keyed
+   Hashtbl, edges in a list, one comparison sort per adjacency.  Kept
+   here only as the oracle for the property below. *)
+module Ref_builder = struct
+  type t = {
+    n : int;
+    seen : (int * int, unit) Hashtbl.t;
+    mutable acc : (int * int) list;
+    mutable count : int;
+  }
+
+  let create n = { n; seen = Hashtbl.create 64; acc = []; count = 0 }
+
+  let normalize b u v =
+    if u = v then invalid_arg "Graph.Builder: self-loop";
+    if u < 0 || v < 0 || u >= b.n || v >= b.n then
+      invalid_arg "Graph.Builder: endpoint out of range";
+    if u < v then (u, v) else (v, u)
+
+  let mem_edge b u v = Hashtbl.mem b.seen (normalize b u v)
+
+  let add_edge b u v =
+    let key = normalize b u v in
+    if Hashtbl.mem b.seen key then false
+    else begin
+      Hashtbl.add b.seen key ();
+      b.acc <- key :: b.acc;
+      b.count <- b.count + 1;
+      true
+    end
+
+  let build b =
+    let edges = Array.of_list (List.rev b.acc) in
+    let adj = Array.make b.n [] in
+    Array.iteri
+      (fun eid (u, v) ->
+        adj.(u) <- (v, eid) :: adj.(u);
+        adj.(v) <- (u, eid) :: adj.(v))
+      edges;
+    let adj = Array.map Array.of_list adj in
+    Array.iter (fun a -> Array.sort (fun (x, _) (y, _) -> compare x y) a) adj;
+    (edges, adj)
+end
+
+(* [Ok result] or the [Invalid_argument] message *)
+let outcome f = match f () with r -> Ok r | exception Invalid_argument m -> Error m
+
+let prop_builder_matches_reference =
+  QCheck2.Test.make ~name:"builder = Hashtbl-and-sort reference" ~count:300
+    QCheck2.Gen.(
+      int_range 1 60 >>= fun n ->
+      pair (return n)
+        (list_size (int_range 0 400)
+           (triple bool (int_range (-1) n) (int_range (-1) n))))
+    (fun (n, ops) ->
+      let b = Graph.Builder.create n and r = Ref_builder.create n in
+      let same_ops =
+        List.for_all
+          (fun (add, u, v) ->
+            let got, want =
+              if add then
+                (outcome (fun () -> Graph.Builder.add_edge b u v),
+                 outcome (fun () -> Ref_builder.add_edge r u v))
+              else
+                (outcome (fun () -> Graph.Builder.mem_edge b u v),
+                 outcome (fun () -> Ref_builder.mem_edge r u v))
+            in
+            got = want && Graph.Builder.edge_count b = r.Ref_builder.count)
+          ops
+      in
+      let g = Graph.Builder.build b and edges, adj = Ref_builder.build r in
+      same_ops
+      && Graph.edges g = edges
+      && Array.for_all Fun.id (Array.init n (fun u -> Graph.neighbors g u = adj.(u))))
+
 let suite =
   [
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
@@ -122,4 +197,5 @@ let suite =
     Alcotest.test_case "induced subgraph" `Quick test_induced_subgraph;
     Alcotest.test_case "complement degree sum" `Quick test_complement_degree_sum;
     QCheck_alcotest.to_alcotest prop_adjacency_consistent;
+    QCheck_alcotest.to_alcotest prop_builder_matches_reference;
   ]

@@ -10,6 +10,7 @@ let () =
       ("util.dsu", Test_dsu.suite);
       ("util.stats", Test_stats.suite);
       ("util.tablefmt", Test_tablefmt.suite);
+      ("instance.golden", Test_instance_golden.suite);
       ("graph.core", Test_graph.suite);
       ("graph.gen", Test_gen.suite);
       ("graph.metrics", Test_graph_metrics.suite);

@@ -127,6 +127,82 @@ let test_cycle_validity () =
         Alcotest.(check bool) "prefers next over prev" true (P.preferred p cur next prev)
       done
 
+(* The validation of [create] as it stood with one binary search per
+   list entry: nodes in order, length first, then entries in list order
+   (non-neighbour before duplicate), quotas last. *)
+let reference_error g ~quota ~lists =
+  let n = Graph.node_count g in
+  let fail m = raise_notrace (Invalid_argument ("Preference.create: " ^ m)) in
+  match
+    for i = 0 to n - 1 do
+      let nbrs = Graph.neighbor_nodes g i in
+      if Array.length lists.(i) <> Array.length nbrs then
+        fail "list is not a permutation of the neighbourhood";
+      let seen = Hashtbl.create 8 in
+      Array.iter
+        (fun j ->
+          if not (Array.mem j nbrs) then fail "list contains a non-neighbour";
+          if Hashtbl.mem seen j then fail "duplicate entry in preference list";
+          Hashtbl.add seen j ())
+        lists.(i)
+    done;
+    Array.iter (fun b -> if b < 0 then fail "negative quota") quota
+  with
+  | () -> None
+  | exception Invalid_argument m -> Some m
+
+(* Corrupt a few lists (wrong length, a non-neighbour including -1 and
+   n, a duplicate) and sometimes a quota: [create] must raise exactly
+   the reference's first error, and a valid [create] on the same graph
+   afterwards must still rank every entry right. *)
+let prop_create_errors =
+  QCheck2.Test.make ~name:"create errors = reference, then valid ranks" ~count:500
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 2 25) (int_range 0 6))
+    (fun (seed, n, corruptions) ->
+      let rng = Prng.create seed in
+      let g = Gen.gnm rng ~n ~m:(Prng.int rng ((n * (n - 1) / 2) + 1)) in
+      let good = P.random rng g ~quota:(P.uniform_quota g 2) in
+      let valid = Array.init n (fun i -> Array.copy (P.list good i)) in
+      let lists = Array.map Array.copy valid in
+      let quota = P.uniform_quota g 2 in
+      for _ = 1 to corruptions do
+        (* few distinct nodes, so one list often carries two faults *)
+        let i = Prng.int rng (min n 2) in
+        let l = lists.(i) and deg = Graph.degree g i in
+        match Prng.int rng 5 with
+        | 0 -> lists.(i) <- Array.append l [| Prng.int rng n |]
+        | 1 when deg > 0 -> lists.(i) <- Array.sub l 0 (deg - 1)
+        | 2 when Array.length l > 0 ->
+            let outsiders =
+              Array.of_list
+                (List.filter
+                   (fun j -> not (Graph.mem_edge g i j))
+                   (List.init (n + 2) (fun j -> j - 1)))
+            in
+            l.(Prng.int rng (Array.length l)) <- Prng.pick rng outsiders
+        | 3 when Array.length l > 1 ->
+            let a = Prng.int rng (Array.length l) and b = Prng.int rng (Array.length l) in
+            if a <> b then l.(a) <- l.(b)
+        | 4 -> quota.(i) <- -1
+        | _ -> ()
+      done;
+      let got =
+        match P.create g ~quota ~lists with
+        | _ -> None
+        | exception Invalid_argument m -> Some m
+      in
+      let p = P.create g ~quota:(P.uniform_quota g 2) ~lists:valid in
+      let ranks_ok =
+        Array.for_all Fun.id
+          (Array.init n (fun i ->
+               Array.for_all Fun.id (Array.mapi (fun r j -> P.rank p i j = r) valid.(i))
+               && Array.for_all Fun.id
+                    (Array.mapi
+                       (fun s (j, _) -> P.rank_at_slot p i s = P.rank p i j)
+                       (Graph.neighbors g i))))
+      in
+      got = reference_error g ~quota ~lists && ranks_ok)
+
 let suite =
   [
     Alcotest.test_case "create and rank" `Quick test_create_and_rank;
@@ -142,4 +218,5 @@ let suite =
     Alcotest.test_case "acyclic bandwidth" `Quick test_acyclic_bandwidth;
     Alcotest.test_case "cycle detected" `Quick test_cycle_detected;
     Alcotest.test_case "cycle validity" `Quick test_cycle_validity;
+    QCheck_alcotest.to_alcotest prop_create_errors;
   ]

@@ -170,6 +170,36 @@ let test_pick () =
     check "picked member" true (Array.mem (Prng.pick g a) a)
   done
 
+(* Allocation contract: xoshiro's state lives in unboxed storage, so a
+   draw whose result is an immediate value allocates nothing, and a float
+   draw allocates only the box of the float it returns (2 words on a
+   64-bit host).  Measured over 10^5 draws; the only other allocation in
+   the window is the boxed counter read itself. *)
+let draws = 100_000
+
+let words_per_draw f =
+  let g = Prng.create 61 in
+  f g;
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    f g
+  done;
+  (Gc.minor_words () -. before) /. float_of_int draws
+
+let check_words name ~max f =
+  let w = words_per_draw f in
+  if w > max +. 0.001 then
+    Alcotest.failf "%s allocates %.3f minor words per draw (contract: %.0f)" name w max
+
+let test_alloc_contract () =
+  check_words "int pow2" ~max:0.0 (fun g -> ignore (Prng.int g 1024));
+  check_words "int odd" ~max:0.0 (fun g -> ignore (Prng.int g 7));
+  check_words "int near 2^61" ~max:0.0 (fun g -> ignore (Prng.int g ((1 lsl 61) + 1)));
+  check_words "bool" ~max:0.0 (fun g -> ignore (Prng.bool g));
+  check_words "bernoulli" ~max:0.0 (fun g -> ignore (Prng.bernoulli g 0.3));
+  check_words "float" ~max:2.0 (fun g -> ignore (Prng.float g 1.0));
+  check_words "exponential" ~max:2.0 (fun g -> ignore (Prng.exponential g 2.0))
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -192,4 +222,5 @@ let suite =
     Alcotest.test_case "sample full range" `Quick test_sample_full_range;
     Alcotest.test_case "sample invalid" `Quick test_sample_invalid;
     Alcotest.test_case "pick" `Quick test_pick;
+    Alcotest.test_case "allocation contract" `Quick test_alloc_contract;
   ]

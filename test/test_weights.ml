@@ -94,6 +94,34 @@ let test_positive_on_quota_graphs () =
   Graph.iter_edges g (fun e _ _ ->
       Alcotest.(check bool) "eq9 weight positive" true (W.weight w e > 0.0))
 
+(* eq. 9 edge by edge through the public rank, the definition the
+   one-pass construction must equal bit for bit *)
+let prop_matches_per_edge_definition =
+  QCheck2.Test.make ~name:"of_preference = per-edge eq. 9, bit for bit" ~count:100
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 2 40) (int_range 0 4))
+    (fun (seed, n, spread) ->
+      let rng = Prng.create seed in
+      let m = Prng.int rng ((n * (n - 1) / 2) + 1) in
+      let g = Gen.gnm rng ~n ~m in
+      let quota = Array.init n (fun _ -> Prng.int rng (spread + 1)) in
+      let p = P.random rng g ~quota in
+      let side i j =
+        let l = P.list_len p i and b = P.quota p i in
+        if l = 0 || b = 0 then 0.0
+        else Satisfaction.static_delta ~quota:b ~list_len:l ~rank:(P.rank p i j)
+      in
+      List.for_all
+        (fun (combiner, f) ->
+          let w = W.of_preference ~combiner p in
+          Graph.fold_edges g
+            (fun ok e u v ->
+              ok
+              && Int64.equal
+                   (Int64.bits_of_float (W.weight w e))
+                   (Int64.bits_of_float (f (side u v) (side v u))))
+            true)
+        [ (W.Sum, ( +. )); (W.Min, Float.min); (W.Product, ( *. )) ])
+
 let suite =
   [
     Alcotest.test_case "eq. 9 value" `Quick test_eq9_value;
@@ -105,4 +133,5 @@ let suite =
     Alcotest.test_case "heavier consistent" `Quick test_heavier_consistent;
     Alcotest.test_case "total and max" `Quick test_total_and_max;
     Alcotest.test_case "positive on quota graphs" `Quick test_positive_on_quota_graphs;
+    QCheck_alcotest.to_alcotest prop_matches_per_edge_definition;
   ]
